@@ -175,4 +175,31 @@ mod tests {
         // Garbage fails to parse.
         assert!(validate_trace_json("not json", &expected, 1).is_err());
     }
+
+    /// The traced parallel chain `repro explain par --trace` writes, at a
+    /// size whose Chrome trace runs to hundreds of KB, parses and carries
+    /// every span and chain step.
+    #[test]
+    fn traced_par_chain_trace_parses() {
+        let table = Harness { rows: 20_000 }.ws_config().generate();
+        let stats = TableStats::from_table(&table);
+        let m = paper_mb_to_blocks(150.0, table.block_count());
+        let sink = TraceSink::enabled();
+        let env = ExecEnv::with_memory_blocks(m)
+            .with_par_workers(PAR_WORKERS)
+            .with_trace(Arc::clone(&sink));
+        let query = par_chain_query(table.schema().clone());
+        let plan = optimize(&query, &stats, Scheme::Cso, &env).expect("plan");
+        let (report, _) = explain_analyze(&plan, &table, &env).expect("explain analyze");
+        let labels: Vec<String> = report
+            .step_metrics
+            .iter()
+            .map(|s| s.label.clone())
+            .collect();
+        let json = sink.to_chrome_json();
+        assert!(json.len() > 200_000, "trace is only {} bytes", json.len());
+        let (spans, lanes) = validate_trace_json(&json, &labels, 2).expect("valid trace");
+        assert_eq!(spans, sink.records().len());
+        assert!(lanes >= 2);
+    }
 }

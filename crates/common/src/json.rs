@@ -33,6 +33,7 @@ impl Json {
     /// garbage rejected).
     pub fn parse(text: &str) -> Result<Json> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -121,6 +122,7 @@ pub fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -280,13 +282,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary of
+                    // the `&str` input and needs no re-validation.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -381,6 +385,23 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"\\q\"", "nan"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn long_multibyte_string_round_trips() {
+        // ~1.3 MB of CJK, emoji and escapes: linear-time decoding keeps
+        // this well under a second.
+        let unit = "窓関数の最適化 😀🚀 ünïcode \"quoted\" \\ tab\t ";
+        let original: String = unit.repeat(30_000);
+        let mut lit = String::new();
+        write_escaped(&mut lit, &original);
+        let doc = format!(r#"{{"name": {lit}, "n": 1}}"#);
+        let parsed = Json::parse(&doc).unwrap();
+        assert_eq!(
+            parsed.get("name").and_then(Json::as_str),
+            Some(original.as_str())
+        );
+        assert_eq!(parsed.get("n").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

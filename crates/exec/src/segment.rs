@@ -91,6 +91,10 @@ impl SegmentBounds {
     ///
     /// `eq` must implement equality on exactly `target`'s attributes; each
     /// invocation charges one comparison to `tracker`.
+    ///
+    /// Cost: O(L · log n + output) for `L` carried layers of at most `n`
+    /// starts — each layer's range is found by binary search, so calling
+    /// this once per partition stays linear in the segment.
     pub fn runs_equal_on(
         &self,
         target: &AttrSet,
@@ -111,18 +115,18 @@ impl SegmentBounds {
         }
         if let Some(layer) = self.layers.iter().find(|l| l.attrs == *target) {
             let mut out = vec![lo];
-            out.extend(layer.starts.iter().copied().filter(|&s| s > lo && s < hi));
+            out.extend_from_slice(starts_inside(&layer.starts, lo, hi));
             return Some(out);
         }
-        let in_range = |l: &BoundaryLayer| l.starts.iter().filter(|&&s| s > lo && s < hi).count();
-        let layer = self
+        let candidates = self
             .layers
             .iter()
             .filter(|l| target.is_subset(&l.attrs))
-            .min_by_key(|l| in_range(l))?;
+            .map(|l| starts_inside(&l.starts, lo, hi))
+            .min_by_key(|inside| inside.len())?;
         let mut out = vec![lo];
         let mut checks = 0u64;
-        for &s in layer.starts.iter().filter(|&&s| s > lo && s < hi) {
+        for &s in candidates {
             checks += 1;
             if !eq(&rows[s - 1], &rows[s]) {
                 out.push(s);
@@ -140,6 +144,9 @@ impl SegmentBounds {
     /// [`SegmentBounds::runs_equal_on`] on the window with relative indices
     /// yields the same boundaries and charges the same comparisons as
     /// calling it on the full segment with `(lo, hi)`.
+    ///
+    /// Cost: O(L · log n + output) for `L` carried layers of at most `n`
+    /// starts, so a streaming operator may take one window per partition.
     pub fn window(&self, lo: usize, hi: usize) -> SegmentBounds {
         let layers = self
             .layers
@@ -147,18 +154,49 @@ impl SegmentBounds {
             .map(|l| BoundaryLayer {
                 attrs: l.attrs.clone(),
                 starts: std::iter::once(0)
-                    .chain(
-                        l.starts
-                            .iter()
-                            .filter(|&&s| s > lo && s < hi)
-                            .map(|&s| s - lo),
-                    )
+                    .chain(starts_inside(&l.starts, lo, hi).iter().map(|&s| s - lo))
                     .collect(),
             })
             .collect();
         SegmentBounds { layers }
     }
 }
+
+/// The entries of a layer's strictly increasing `starts` that lie strictly
+/// inside `(lo, hi)`, found by two binary searches: O(log n) to locate, and
+/// the caller pays only for the slice it walks. Every boundary-layer lookup
+/// selects its range here, so none of them scans a whole layer per
+/// partition.
+fn starts_inside(starts: &[usize], lo: usize, hi: usize) -> &[usize] {
+    let first = starts.partition_point(|&s| {
+        touched(1);
+        s <= lo
+    });
+    let end = first
+        + starts[first..].partition_point(|&s| {
+            touched(1);
+            s < hi
+        });
+    let inside = &starts[first..end];
+    touched(inside.len());
+    inside
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Layer entries [`starts_inside`] probed or handed back on this thread:
+    /// the complexity guard's deterministic work measure.
+    static TOUCHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn touched(k: usize) {
+    TOUCHED.with(|t| t.set(t.get() + k as u64));
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn touched(_: usize) {}
 
 /// Streaming run detection with the exact charging of
 /// [`SegmentBounds::runs_equal_on`] / [`scan_runs`]: built once per segment
@@ -195,24 +233,26 @@ impl RunSplitter {
             };
         }
         if reuse {
+            // Row 0 never asks (`is_boundary` takes idx ≥ 1), so the starts
+            // strictly inside `(0, n)` are all a splitter needs.
             if let Some(layer) = bounds.layers.iter().find(|l| l.attrs == *target) {
                 return RunSplitter {
                     mode: SplitMode::Exact {
-                        starts: layer.starts.iter().copied().filter(|&s| s < n).collect(),
+                        starts: starts_inside(&layer.starts, 0, n).to_vec(),
                         pos: 0,
                     },
                 };
             }
-            let in_range = |l: &BoundaryLayer| l.starts.iter().filter(|&&s| s > 0 && s < n).count();
-            if let Some(layer) = bounds
+            if let Some(candidates) = bounds
                 .layers
                 .iter()
                 .filter(|l| target.is_subset(&l.attrs))
-                .min_by_key(|l| in_range(l))
+                .map(|l| starts_inside(&l.starts, 0, n))
+                .min_by_key(|inside| inside.len())
             {
                 return RunSplitter {
                     mode: SplitMode::Candidates {
-                        starts: layer.starts.iter().copied().filter(|&s| s < n).collect(),
+                        starts: candidates.to_vec(),
                         pos: 0,
                     },
                 };
@@ -542,6 +582,115 @@ mod tests {
         assert!(!overlapping.segments_disjoint_on(&aset(&[0])));
         // Disjoint on (a,b) pairs even though `a` overlaps.
         assert!(overlapping.segments_disjoint_on(&aset(&[0, 1])));
+    }
+
+    /// Partition size of the complexity sweep: every partition holds this
+    /// many rows and so this many starts of each carried layer.
+    const PART: usize = 16;
+
+    /// A segment of `n` rows `(partition, i, i)` carrying two layers of `n`
+    /// starts each (on `{0,1}` and `{0,2}`: every row its own run), and the
+    /// layer entries `lookup` touches when called once per partition.
+    fn touched_once_per_partition(
+        n: usize,
+        lookup: impl Fn(&SegmentBounds, &[Row], usize, usize),
+    ) -> u64 {
+        let rows: Vec<Row> = (0..n)
+            .map(|i| row![(i / PART) as i64, i as i64, i as i64])
+            .collect();
+        let mut bounds = SegmentBounds::none();
+        bounds.add_layer(aset(&[0, 1]), (0..n).collect());
+        bounds.add_layer(aset(&[0, 2]), (0..n).collect());
+        let before = TOUCHED.with(|t| t.get());
+        for lo in (0..n).step_by(PART) {
+            lookup(&bounds, &rows, lo, (lo + PART).min(n));
+        }
+        TOUCHED.with(|t| t.get()) - before
+    }
+
+    /// Deterministic complexity guard: across a 4× size sweep the touched
+    /// layer entries may grow by about 4× (log factor included), never by
+    /// the 16× of a whole-layer scan per partition.
+    fn assert_linear(what: &str, lookup: impl Fn(&SegmentBounds, &[Row], usize, usize)) {
+        let small = touched_once_per_partition(25_000, &lookup);
+        let large = touched_once_per_partition(100_000, &lookup);
+        // Every lookup hands back its partition's starts, so a lookup that
+        // bypassed the counted range selection would show up as zero.
+        assert!(
+            small >= 25_000,
+            "{what}: {small} entries touched at n = 25k"
+        );
+        let growth = large as f64 / small as f64;
+        assert!(
+            growth <= 4.5,
+            "{what}: touched layer entries grew {growth:.2}x ({small} -> {large}) over a 4x sweep"
+        );
+    }
+
+    #[test]
+    fn runs_equal_on_is_linear_per_partition_sweep() {
+        let eq0 = |a: &Row, b: &Row| a.get(AttrId::new(0)) == b.get(AttrId::new(0));
+        // Exact layer: the partition's starts, zero comparisons.
+        assert_linear("runs_equal_on exact", |bounds, rows, lo, hi| {
+            let tracker = CostTracker::new();
+            let runs = bounds.runs_equal_on(&aset(&[0, 1]), rows, lo, hi, eq0, &tracker);
+            assert_eq!(runs, Some((lo..hi).collect()));
+            assert_eq!(tracker.snapshot().comparisons, 0);
+        });
+        // Superset layers: the cheapest candidate set, one check each.
+        assert_linear("runs_equal_on superset", |bounds, rows, lo, hi| {
+            let tracker = CostTracker::new();
+            let runs = bounds.runs_equal_on(&aset(&[0]), rows, lo, hi, eq0, &tracker);
+            assert_eq!(runs, Some(vec![lo]));
+            assert_eq!(tracker.snapshot().comparisons, (hi - lo - 1) as u64);
+        });
+    }
+
+    #[test]
+    fn window_is_linear_per_partition_sweep() {
+        assert_linear("window", |bounds, _rows, lo, hi| {
+            let w = bounds.window(lo, hi);
+            assert_eq!(w.layers().len(), 2);
+            for layer in w.layers() {
+                assert_eq!(layer.starts, (0..hi - lo).collect::<Vec<_>>());
+            }
+        });
+    }
+
+    #[test]
+    fn superset_choice_keeps_the_first_cheapest_layer() {
+        // Rows (i/4, i/2, (i+1)/2, i). Both superset layers of {0} have
+        // three starts inside (1, 7) — {0,1} at 2, 4, 6 and {0,2} at 3, 4,
+        // 5 — so the first one carried wins and its candidates are checked.
+        let rows: Vec<Row> = (0..8).map(|i| row![i / 4, i / 2, (i + 1) / 2, i]).collect();
+        let mut bounds = SegmentBounds::none();
+        bounds.add_layer(aset(&[0, 1]), vec![0, 2, 4, 6]);
+        bounds.add_layer(aset(&[0, 2]), vec![0, 1, 3, 4, 5, 7]);
+        let eq0 = |a: &Row, b: &Row| a.get(AttrId::new(0)) == b.get(AttrId::new(0));
+        let mut checked = Vec::new();
+        let tracker = CostTracker::new();
+        let runs = bounds.runs_equal_on(
+            &aset(&[0]),
+            &rows,
+            1,
+            7,
+            |a, b| {
+                checked.push(b.get(AttrId::new(3)).as_int());
+                eq0(a, b)
+            },
+            &tracker,
+        );
+        assert_eq!(runs, Some(vec![1, 4]));
+        assert_eq!(checked, vec![Some(2), Some(4), Some(6)]);
+        assert_eq!(tracker.snapshot().comparisons, 3);
+        // The streaming splitter over the whole segment agrees.
+        let tracker = CostTracker::new();
+        let mut split = RunSplitter::new(&bounds, &aset(&[0]), 8, true);
+        let hits: Vec<usize> = (1..8)
+            .filter(|&i| split.is_boundary(i, &rows[i - 1], &rows[i], eq0, false, &tracker))
+            .collect();
+        assert_eq!(hits, vec![4]);
+        assert_eq!(tracker.snapshot().comparisons, 3);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! this substitution.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Thread-safe counters for the segment-store pool's spill traffic.
 ///
@@ -31,6 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct PoolCounters {
     blocks_read: AtomicU64,
     blocks_written: AtomicU64,
+    /// Counters every charge is also forwarded to (a per-query sub-account
+    /// reporting into its database's totals).
+    parent: Option<Arc<PoolCounters>>,
 }
 
 impl PoolCounters {
@@ -39,16 +43,31 @@ impl PoolCounters {
         Self::default()
     }
 
+    /// Fresh counters that also forward every charge to `parent`, so the
+    /// parent keeps the total while these count only their own traffic.
+    pub fn forwarding_to(parent: Arc<PoolCounters>) -> Self {
+        PoolCounters {
+            parent: Some(parent),
+            ..Self::default()
+        }
+    }
+
     /// Charge `n` pool block reads.
     #[inline]
     pub fn read_blocks(&self, n: u64) {
         self.blocks_read.fetch_add(n, Ordering::Relaxed);
+        if let Some(p) = &self.parent {
+            p.read_blocks(n);
+        }
     }
 
     /// Charge `n` pool block writes.
     #[inline]
     pub fn write_blocks(&self, n: u64) {
         self.blocks_written.fetch_add(n, Ordering::Relaxed);
+        if let Some(p) = &self.parent {
+            p.write_blocks(n);
+        }
     }
 
     /// Total pool blocks read back so far.

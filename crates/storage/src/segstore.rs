@@ -260,7 +260,10 @@ impl SegmentStore {
     /// own deterministic usage, but unlike a worker sub-account every
     /// charge/release (and spill event) is *forwarded* up to this store, so
     /// the shared ledger's residency and high-water mark genuinely track the
-    /// combined live footprint of all concurrent sub-accounts.
+    /// combined live footprint of all concurrent sub-accounts. Its pool-I/O
+    /// counters are its own too, forwarded the same way: the child's
+    /// snapshot counts only the blocks its query moved, while this store's
+    /// keeps the total.
     ///
     /// This is the cross-**query** flavor of the PR 5 mechanism: the
     /// admission governor hands each admitted query one pooled sub-account
@@ -278,7 +281,7 @@ impl SegmentStore {
         Arc::new(SegmentStore {
             budget: budget_blocks.map(|b| b.max(1) as usize * crate::block::BLOCK_SIZE),
             spill: self.spill.clone(),
-            pool_io: Arc::clone(&self.pool_io),
+            pool_io: Arc::new(PoolCounters::forwarding_to(Arc::clone(&self.pool_io))),
             state: Mutex::new(PoolState::default()),
             parent: Some(Arc::clone(self)),
             trace: Mutex::new(self.trace()),
@@ -1036,8 +1039,13 @@ mod tests {
         assert_eq!(q.snapshot().spilled_segments, 1);
         // The spill event is mirrored into the shared ledger…
         assert_eq!(pool.snapshot().spilled_segments, 1);
-        // …as is the pool I/O (shared counters, as with worker accounts).
-        assert!(pool.snapshot().spill_blocks_written > 0);
+        // …as is the pool I/O: the account counts its own blocks and
+        // forwards them, so the pool holds the same total.
+        assert!(q.snapshot().spill_blocks_written > 0);
+        assert_eq!(
+            pool.snapshot().spill_blocks_written,
+            q.snapshot().spill_blocks_written
+        );
         // The overflowed prefix's charge was released through to the parent.
         drop(h);
         assert_eq!(pool.snapshot().resident_bytes, 0);
@@ -1064,6 +1072,13 @@ mod tests {
         let snap = q.snapshot();
         assert_eq!(snap.peak_resident_bytes, solo_snap.peak_resident_bytes);
         assert_eq!(snap.spilled_segments, solo_snap.spilled_segments);
+        // Pool I/O is per account too: the neighbor's spill traffic reaches
+        // the shared pool's totals but not this account's.
+        assert_eq!(snap.spill_blocks_written, solo_snap.spill_blocks_written);
+        assert_eq!(
+            busy_pool.snapshot().spill_blocks_written,
+            neighbor.snapshot().spill_blocks_written + snap.spill_blocks_written
+        );
     }
 
     #[test]

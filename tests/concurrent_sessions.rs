@@ -94,6 +94,38 @@ fn sixty_four_concurrent_queries_are_bit_identical_to_serial() {
     assert_identical_under_load(64, 3_000);
 }
 
+/// `ExecReport.store` pool traffic belongs to its own statement: repeated
+/// runs on one `Database` report the same counts, and each count is that
+/// statement's share of the database-wide `pool_snapshot` totals.
+#[test]
+fn report_pool_counters_are_per_statement() {
+    let table = sales(4000);
+    let db = served_db(&table, 1, 64, 8);
+    let mut per_run = Vec::new();
+    for _ in 0..2 {
+        let before = db.pool_snapshot();
+        let store = db.session().execute(SQL).unwrap().report.store;
+        let after = db.pool_snapshot();
+        assert!(
+            store.spill_blocks_written > 0,
+            "an 8-block budget must spill"
+        );
+        assert_eq!(
+            store.spill_blocks_written,
+            after.spill_blocks_written - before.spill_blocks_written
+        );
+        assert_eq!(
+            store.spill_blocks_read,
+            after.spill_blocks_read - before.spill_blocks_read
+        );
+        per_run.push((store.spill_blocks_written, store.spill_blocks_read));
+    }
+    assert_eq!(
+        per_run[0], per_run[1],
+        "identical statements, identical pool counts"
+    );
+}
+
 #[test]
 fn pool_residency_stays_governed_under_concurrency() {
     let table = sales(12_000);

@@ -338,3 +338,63 @@ fn execute_plan_matches_batch_composition_of_same_plan() {
     assert_eq!(report.table.rows(), current.rows());
     assert_eq!(report.work, env_b.tracker().snapshot());
 }
+
+/// The paper's Q7 and Q9 at 20k `web_sales` rows, planned by CSO for a
+/// 7-block budget: the spilled run (bounded pool) and the resident run
+/// (unbounded pool) of the same plan produce identical rows and modeled
+/// counters. The resident run evaluates every window step on whole
+/// in-memory segments, reusing the boundary layers earlier steps proved —
+/// the path a per-partition layer rescan once made quadratic.
+#[test]
+fn paper_q7_q9_resident_match_spilled_at_20k_rows() {
+    let rows = 20_000usize;
+    let table = wfopt::datagen::WsConfig {
+        rows,
+        d_item: rows as u64 / 20,
+        d_bill: rows as u64 / 10,
+        ..Default::default()
+    }
+    .generate();
+    let schema = table.schema().clone();
+    let (date, time, ship, item, bill) = (
+        "ws_sold_date_sk",
+        "ws_sold_time_sk",
+        "ws_ship_date_sk",
+        "ws_item_sk",
+        "ws_bill_customer_sk",
+    );
+    let q7 = QueryBuilder::new(&schema)
+        .rank("wf1", &[date, time, ship], &[])
+        .rank("wf2", &[time, date], &[])
+        .rank("wf3", &[item], &[])
+        .rank("wf4", &[], &[(item, false), (bill, false)])
+        .rank("wf5", &[date, time, item, bill], &[(ship, false)])
+        .build()
+        .unwrap();
+    let q9 = QueryBuilder::new(&schema)
+        .rank("wf1", &[item], &[(bill, false), (date, false)])
+        .rank("wf2", &[item, time], &[(date, false)])
+        .rank("wf3", &[item], &[(time, false)])
+        .rank("wf4", &[], &[(item, false), (date, false)])
+        .rank("wf5", &[bill, date], &[(time, false)])
+        .rank("wf6", &[bill], &[(time, false)])
+        .rank("wf7", &[date, time], &[])
+        .rank("wf8", &[], &[(time, false)])
+        .build()
+        .unwrap();
+    let stats = TableStats::from_table(&table);
+    for (name, query) in [("q7", q7), ("q9", q9)] {
+        let env = ExecEnv::with_memory_blocks(7).with_par_workers(1);
+        let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
+        let spilled = execute_plan(&plan, &table, &env).unwrap();
+        assert!(
+            spilled.store.spill_blocks_written > 0,
+            "{name}: a 7-block pool must spill"
+        );
+        let env_resident = ExecEnv::with_memory_blocks(7).with_unbounded_pool();
+        let resident = execute_plan(&plan, &table, &env_resident).unwrap();
+        assert_eq!(resident.store.spill_blocks_written, 0, "{name}: resident");
+        assert_eq!(resident.table.rows(), spilled.table.rows(), "{name}: rows");
+        assert_eq!(resident.work, spilled.work, "{name}: modeled counters");
+    }
+}
