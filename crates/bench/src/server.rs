@@ -15,17 +15,20 @@
 //!   tab-separated header line, the rows (tab-separated), then a lone `.`;
 //! * `.stats` → `ok stats`, `key value` lines, then `.`;
 //! * `.shutdown` → `ok bye`, then the server drains and exits;
-//! * anything that fails → `err <message>` (connection stays usable).
+//! * anything that fails → `err <message>` (connection stays usable); a
+//!   statement that panics → `err internal: <panic message>`, and its
+//!   handler thread goes on serving.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use wf_datagen::WsConfig;
-use wfopt::{Database, DatabaseConfig};
+use wfopt::{Database, DatabaseConfig, QueryOutcome};
 
 /// Knobs for [`run_serve`]; mirrors the `repro serve` flags.
 #[derive(Debug, Clone)]
@@ -74,8 +77,32 @@ fn sanitize(msg: &str) -> String {
     msg.replace(['\n', '\r'], "; ")
 }
 
-fn handle_connection(stream: TcpStream, db: &Database, shutdown: &AtomicBool) {
+/// Runs one SQL statement for a connection handler (tests inject others).
+type Execute = fn(&Database, &str) -> wfopt::common::Result<QueryOutcome>;
+
+/// Run one statement, turning a panic into an `internal:` error message so
+/// that the handler thread survives it. The database is safe to keep using
+/// afterwards: its locks tolerate poisoning, and the statement's admission
+/// permit and pool charges are guards released while unwinding.
+fn execute_caught(execute: Execute, db: &Database, sql: &str) -> Result<QueryOutcome, String> {
+    match panic::catch_unwind(AssertUnwindSafe(|| execute(db, sql))) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("statement panicked");
+            Err(format!("internal: {msg}"))
+        }
+    }
+}
+
+fn handle_connection(stream: TcpStream, db: &Database, shutdown: &AtomicBool, execute: Execute) {
     stream.set_read_timeout(Some(Duration::from_secs(300))).ok();
+    // A reply's last partial buffer must not wait behind Nagle's algorithm
+    // for the client's delayed ACK of the previous segment (about 40 ms).
+    stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();
@@ -120,7 +147,7 @@ fn handle_connection(stream: TcpStream, db: &Database, shutdown: &AtomicBool) {
                     })
                     .and_then(|_| writeln!(writer, "."))
             }
-            sql => match db.session().execute(sql) {
+            sql => match execute_caught(execute, db, sql) {
                 Ok(outcome) => {
                     let schema = outcome.table.schema();
                     let header: Vec<&str> =
@@ -143,7 +170,7 @@ fn handle_connection(stream: TcpStream, db: &Database, shutdown: &AtomicBool) {
                         writeln!(writer, ".")
                     })
                 }
-                Err(e) => writeln!(writer, "err {}", sanitize(&e.to_string())),
+                Err(e) => writeln!(writer, "err {}", sanitize(&e)),
             },
         };
         if result.is_err() || writer.flush().is_err() {
@@ -154,6 +181,11 @@ fn handle_connection(stream: TcpStream, db: &Database, shutdown: &AtomicBool) {
 
 /// Serve until a client sends `.shutdown`. Returns `false` on a bind error.
 pub fn run_serve(opts: &ServeOptions) -> bool {
+    serve(opts, |db, sql| db.session().execute(sql))
+}
+
+/// [`run_serve`] with the statement executor as a parameter.
+fn serve(opts: &ServeOptions, execute: Execute) -> bool {
     let listener = match TcpListener::bind(("127.0.0.1", opts.port)) {
         Ok(l) => l,
         Err(e) => {
@@ -180,7 +212,7 @@ pub fn run_serve(opts: &ServeOptions) -> bool {
             thread::spawn(move || loop {
                 let conn = rx.lock().expect("handler queue").recv();
                 match conn {
-                    Ok(stream) => handle_connection(stream, &db, &shutdown),
+                    Ok(stream) => handle_connection(stream, &db, &shutdown, execute),
                     Err(_) => return, // sender dropped: draining
                 }
             })
@@ -325,6 +357,131 @@ mod tests {
         assert!(!run_client(port, &statements));
         // ...but the server still drained cleanly.
         assert!(server.join().expect("server thread"));
+    }
+
+    /// A free local port for a test server.
+    fn free_port() -> u16 {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.local_addr().unwrap().port()
+    }
+
+    fn small_server(port: u16, rows: usize) -> ServeOptions {
+        ServeOptions {
+            port,
+            rows,
+            threads: 2,
+            max_concurrent: 2,
+            per_query_blocks: 16,
+        }
+    }
+
+    /// One protocol connection, as a client sees it.
+    struct Conn {
+        reader: BufReader<TcpStream>,
+        writer: TcpStream,
+    }
+
+    impl Conn {
+        /// Connect, retrying while the server thread starts up.
+        fn open(port: u16) -> Conn {
+            for _ in 0..100 {
+                if let Ok(stream) = TcpStream::connect(("127.0.0.1", port)) {
+                    let reader = BufReader::new(stream.try_clone().unwrap());
+                    return Conn {
+                        reader,
+                        writer: stream,
+                    };
+                }
+                thread::sleep(Duration::from_millis(50));
+            }
+            panic!("no server on port {port}");
+        }
+
+        /// Send one line; return the status line and the reply's size in
+        /// bytes (status, body and terminator).
+        fn request(&mut self, line: &str) -> (String, usize) {
+            self.writer
+                .write_all(format!("{line}\n").as_bytes())
+                .unwrap();
+            let mut status = String::new();
+            self.reader.read_line(&mut status).unwrap();
+            let mut bytes = status.len();
+            let status = status.trim_end().to_string();
+            if status.starts_with("ok") && status != "ok bye" {
+                let mut body = String::new();
+                while body != ".\n" {
+                    body.clear();
+                    let n = self.reader.read_line(&mut body).unwrap();
+                    assert!(n > 0, "truncated reply to `{line}`");
+                    bytes += n;
+                }
+            }
+            (status, bytes)
+        }
+    }
+
+    fn stop(port: u16, server: thread::JoinHandle<bool>) {
+        assert_eq!(Conn::open(port).request(".shutdown").0, "ok bye");
+        poke(port);
+        assert!(server.join().expect("server thread"));
+    }
+
+    const RANK_ALL: &str =
+        "SELECT *, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r \
+         FROM web_sales";
+
+    fn panics_on_boom(db: &Database, sql: &str) -> wfopt::common::Result<QueryOutcome> {
+        if sql.contains("boom") {
+            panic!("injected failure in `{sql}`");
+        }
+        db.session().execute(sql)
+    }
+
+    /// Before panics were caught, each one ended its handler thread, so
+    /// with two handlers the third connection was accepted but never
+    /// answered.
+    #[test]
+    fn a_panicking_statement_answers_err_and_keeps_its_handler() {
+        let port = free_port();
+        let opts = small_server(port, 200);
+        let server = thread::spawn(move || serve(&opts, panics_on_boom));
+        for _ in 0..4 {
+            let mut conn = Conn::open(port);
+            let (status, _) = conn.request("SELECT boom");
+            assert_eq!(status, "err internal: injected failure in `SELECT boom`");
+            let (status, _) = conn.request(RANK_ALL);
+            assert!(status.starts_with("ok 200 "), "{status}");
+        }
+        stop(port, server);
+    }
+
+    /// Replies over 8 KiB leave the server in more than one write; without
+    /// `TCP_NODELAY` the last one waits for the client's delayed ACK of the
+    /// one before (about 40 ms a reply on Linux loopback).
+    #[test]
+    fn large_replies_do_not_wait_for_delayed_acks() {
+        let port = free_port();
+        let opts = small_server(port, 80);
+        let server = thread::spawn(move || run_serve(&opts));
+        let mut conn = Conn::open(port);
+        assert_eq!(conn.request(".stats").0, "ok stats", "server is up");
+        let mut wire = Duration::ZERO;
+        for _ in 0..10 {
+            let start = std::time::Instant::now();
+            let (status, bytes) = conn.request(RANK_ALL);
+            let latency = start.elapsed();
+            assert!(bytes > 8 * 1024, "reply of {bytes} bytes");
+            // `ok <rows> <cols> <wall_ms> <queue_ms>`: keep only the time
+            // spent outside the statement.
+            let wall_ms: f64 = status.split(' ').nth(3).unwrap().parse().unwrap();
+            wire += latency.saturating_sub(Duration::from_secs_f64(wall_ms / 1e3));
+        }
+        assert!(
+            wire < Duration::from_millis(150),
+            "ten replies spent {wire:?} on the wire"
+        );
+        drop(conn); // its handler must see EOF before the server can drain
+        stop(port, server);
     }
 
     #[test]

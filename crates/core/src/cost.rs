@@ -17,8 +17,9 @@
 use crate::props::SegProps;
 use crate::spec::WindowSpec;
 use std::collections::HashMap;
+use std::sync::Arc;
 use wf_common::{AttrId, AttrSet, SortSpec, Value};
-use wf_storage::{blocks_for_bytes, CostWeights, Table};
+use wf_storage::{blocks_for_bytes, Bitmap, ColumnVec, CostWeights, Table};
 
 /// Statistics about the windowed table: cardinality, width and per-column
 /// distinct counts (the paper assumes uniform, uncorrelated attributes).
@@ -33,21 +34,20 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Exact statistics from a materialized table.
+    /// Exact statistics from a materialized table, computed over its
+    /// columnar snapshot ([`Table::shared_batch`], built here if the table
+    /// has none yet): each typed lane is counted without boxing a `Value`
+    /// per row. Hot values rank by count, ties by value ascending, so the
+    /// MFV candidates never depend on hash order or row order.
     pub fn from_table(table: &Table) -> Self {
+        let batch = table.shared_batch();
         let mut distinct = HashMap::new();
         let mut hot = HashMap::new();
         for i in 0..table.schema().len() {
             let attr = AttrId::new(i);
-            let mut counts: HashMap<&Value, u64> = HashMap::new();
-            for row in table.rows() {
-                *counts.entry(row.get(attr)).or_insert(0) += 1;
-            }
-            distinct.insert(attr, counts.len() as u64);
-            let mut top: Vec<(Value, u64)> =
-                counts.into_iter().map(|(v, c)| (v.clone(), c)).collect();
-            top.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-            top.truncate(3);
+            // An empty table's batch has no lanes.
+            let (d, top) = batch.columns().get(i).map(lane_stats).unwrap_or_default();
+            distinct.insert(attr, d);
             hot.insert(attr, top);
         }
         TableStats {
@@ -455,6 +455,131 @@ pub fn window_scan_cost(stats: &TableStats) -> Cost {
     }
 }
 
+/// Hot values kept per column.
+const HOT_VALUES: usize = 3;
+
+/// Distinct count and most frequent values of one column, fed each
+/// distinct value once, in ascending value order (`None` is NULL, which
+/// sorts first): among equal counts the earlier, smaller value ranks first.
+struct Tally<T> {
+    distinct: u64,
+    top: Vec<(Option<T>, u64)>,
+}
+
+impl<T> Tally<T> {
+    fn new(nulls: u64) -> Self {
+        let mut tally = Tally {
+            distinct: 0,
+            top: Vec::with_capacity(HOT_VALUES + 1),
+        };
+        if nulls > 0 {
+            tally.add(None, nulls);
+        }
+        tally
+    }
+
+    fn add(&mut self, value: Option<T>, count: u64) {
+        self.distinct += 1;
+        if self.top.len() == HOT_VALUES && self.top[HOT_VALUES - 1].1 >= count {
+            return;
+        }
+        let at = self.top.partition_point(|&(_, c)| c >= count);
+        self.top.insert(at, (value, count));
+        self.top.truncate(HOT_VALUES);
+    }
+
+    /// Feed a sorted run of non-null values, one entry per equal run.
+    fn add_sorted(&mut self, sorted: &[T], eq: impl Fn(&T, &T) -> bool)
+    where
+        T: Clone,
+    {
+        let mut i = 0;
+        while i < sorted.len() {
+            let run = sorted[i..].iter().take_while(|v| eq(v, &sorted[i])).count();
+            self.add(Some(sorted[i].clone()), run as u64);
+            i += run;
+        }
+    }
+
+    fn finish(self, value: impl Fn(T) -> Value) -> (u64, Vec<(Value, u64)>) {
+        let top = self
+            .top
+            .into_iter()
+            .map(|(v, c)| (v.map_or(Value::Null, &value), c))
+            .collect();
+        (self.distinct, top)
+    }
+}
+
+/// The non-null entries of a typed lane.
+fn present<'a, T>(vals: &'a [T], valid: &'a Bitmap) -> impl Iterator<Item = &'a T> {
+    let all = valid.all_set();
+    vals.iter()
+        .enumerate()
+        .filter(move |&(i, _)| all || valid.get(i))
+        .map(|(_, v)| v)
+}
+
+/// Distinct count and hot values of one column lane. Equality is
+/// [`Value`]'s: integers by value, floats by bit pattern (`total_cmp`, so
+/// −0.0 and +0.0 differ and every NaN payload is its own value), strings by
+/// content, and a mixed lane through `Value` itself.
+fn lane_stats(col: &ColumnVec) -> (u64, Vec<(Value, u64)>) {
+    let nulls = |valid: &Bitmap| (valid.len() - valid.count_ones()) as u64;
+    match col {
+        ColumnVec::Int { vals, valid } => {
+            let mut tally = Tally::new(nulls(valid));
+            let (lo, hi) = present(vals, valid)
+                .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            let span = (hi as i128 - lo as i128 + 1).max(0) as u128;
+            if span <= 2 * vals.len() as u128 + 1024 {
+                // Dense domain (keys, dates, small codes): count by offset.
+                let mut counts = vec![0u64; span as usize];
+                for &v in present(vals, valid) {
+                    counts[v.abs_diff(lo) as usize] += 1;
+                }
+                for (off, &c) in counts.iter().enumerate() {
+                    if c > 0 {
+                        tally.add(Some(lo.wrapping_add(off as i64)), c);
+                    }
+                }
+            } else {
+                let mut sorted: Vec<i64> = present(vals, valid).copied().collect();
+                sorted.sort_unstable();
+                tally.add_sorted(&sorted, |a, b| a == b);
+            }
+            tally.finish(Value::Int)
+        }
+        ColumnVec::Float { vals, valid } => {
+            let mut tally = Tally::new(nulls(valid));
+            let mut sorted: Vec<f64> = present(vals, valid).copied().collect();
+            sorted.sort_unstable_by(f64::total_cmp);
+            tally.add_sorted(&sorted, |a, b| a.to_bits() == b.to_bits());
+            tally.finish(Value::Float)
+        }
+        ColumnVec::Str { vals, valid } => {
+            let mut tally = Tally::new(nulls(valid));
+            let mut sorted: Vec<&Arc<str>> = present(vals, valid).collect();
+            sorted.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
+            tally.add_sorted(&sorted, |a, b| a == b);
+            tally.finish(|s| Value::Str(Arc::clone(s)))
+        }
+        ColumnVec::Mixed(vals) => {
+            let mut counts: HashMap<&Value, u64> = HashMap::new();
+            for v in vals {
+                *counts.entry(v).or_insert(0) += 1;
+            }
+            let mut entries: Vec<(&Value, u64)> = counts.into_iter().collect();
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            let mut tally = Tally::new(0);
+            for (v, c) in entries {
+                tally.add(Some(v), c);
+            }
+            tally.finish(Value::clone)
+        }
+    }
+}
+
 /// Planner-facing estimate for one SS reorder given input properties.
 pub fn ss_reorder_cost(
     stats: &TableStats,
@@ -471,7 +596,7 @@ pub fn ss_reorder_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wf_common::{row, DataType, Schema};
+    use wf_common::{row, DataType, Row, Schema};
 
     fn a(i: usize) -> AttrId {
         AttrId::new(i)
@@ -501,6 +626,157 @@ mod tests {
             10,
             "capped at rows"
         );
+    }
+
+    /// Row-by-row reference statistics: every `&Value` counted in a hash
+    /// map, hot values ranked by count, then by value ascending.
+    fn row_stats(t: &Table) -> TableStats {
+        let mut distinct = HashMap::new();
+        let mut hot = HashMap::new();
+        for i in 0..t.schema().len() {
+            let mut counts: HashMap<&Value, u64> = HashMap::new();
+            for row in t.rows() {
+                *counts.entry(row.get(a(i))).or_insert(0) += 1;
+            }
+            distinct.insert(a(i), counts.len() as u64);
+            let mut top: Vec<(Value, u64)> =
+                counts.into_iter().map(|(v, c)| (v.clone(), c)).collect();
+            top.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+            top.truncate(HOT_VALUES);
+            hot.insert(a(i), top);
+        }
+        TableStats {
+            rows: t.row_count() as u64,
+            bytes: t.byte_size() as u64,
+            distinct,
+            hot,
+        }
+    }
+
+    /// SplitMix64, inline so the tests need no generator crate.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded table with one column per lane shape: dense ints, sparse
+    /// ints (extremes included), floats with signed zeros and NaNs,
+    /// strings, an all-NULL column and a mixed-type column; every column
+    /// but the mixed one sprinkles NULLs.
+    fn random_table(seed: u64, rows: usize) -> Table {
+        let schema = Schema::of(&[
+            ("dense", DataType::Int),
+            ("sparse", DataType::Int),
+            ("float", DataType::Float),
+            ("text", DataType::Str),
+            ("none", DataType::Int),
+            ("mixed", DataType::Int),
+        ]);
+        let mut st = seed;
+        let floats = [0.0, -0.0, f64::NAN, -f64::NAN, 1.5, -2.25, f64::INFINITY];
+        let sparse = [i64::MIN, i64::MAX, -1, 1 << 40, 7];
+        let mut rows_out = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let mut r = || next(&mut st);
+            let null = |x: u64| x.is_multiple_of(7);
+            let dense = if null(r()) {
+                Value::Null
+            } else {
+                Value::Int(r() as i64 % 13 - 6)
+            };
+            let sparse = if null(r()) {
+                Value::Null
+            } else {
+                Value::Int(sparse[(r() % 5) as usize])
+            };
+            let float = if null(r()) {
+                Value::Null
+            } else {
+                Value::Float(floats[(r() % 7) as usize])
+            };
+            let text = if null(r()) {
+                Value::Null
+            } else {
+                Value::str(format!("s{}", r() % 9))
+            };
+            let mixed = match r() % 5 {
+                0 => Value::Null,
+                1 => Value::Int((r() % 4) as i64),
+                2 => Value::Float((r() % 4) as f64),
+                3 => Value::Float(-0.0),
+                _ => Value::str(format!("m{}", r() % 3)),
+            };
+            rows_out.push(Row::new(vec![
+                dense,
+                sparse,
+                float,
+                text,
+                Value::Null,
+                mixed,
+            ]));
+        }
+        Table::from_rows(schema, rows_out).unwrap()
+    }
+
+    #[test]
+    fn lane_stats_match_the_row_by_row_reference() {
+        for seed in 0..12u64 {
+            let t = random_table(seed, 1 + (seed as usize * 37) % 400);
+            let s = TableStats::from_table(&t);
+            let reference = row_stats(&t);
+            assert_eq!(s.distinct, reference.distinct, "seed {seed}");
+            assert_eq!(s.hot.len(), reference.hot.len(), "seed {seed}");
+            for (attr, want) in &reference.hot {
+                let got = &s.hot[attr];
+                assert_eq!(got.len(), want.len(), "seed {seed} {attr:?}");
+                for ((gv, gc), (wv, wc)) in got.iter().zip(want) {
+                    // Int(2) == Float(2.0) under `Value`'s equality; a
+                    // mixed column must keep the same variant too.
+                    assert_eq!((gv, gc, gv.type_name()), (wv, wc, wv.type_name()));
+                    if let (Value::Float(g), Value::Float(w)) = (gv, wv) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "seed {seed} {attr:?}");
+                    }
+                }
+            }
+        }
+        // An empty table has no lanes at all.
+        let empty = TableStats::from_table(&Table::new(Schema::of(&[("k", DataType::Int)])));
+        assert_eq!(empty.distinct[&a(0)], 0);
+        assert!(empty.hot[&a(0)].is_empty());
+    }
+
+    #[test]
+    fn hot_values_break_count_ties_by_value_in_any_row_order() {
+        // Five values, four of them with the same top count: the hot list
+        // holds the highest count, then the two smallest tied values.
+        let mut rows = Vec::new();
+        for (v, n) in [(9i64, 4), (3, 4), (5, 4), (1, 6), (7, 4), (2, 1)] {
+            for _ in 0..n {
+                rows.push(row![v, format!("s{v}")]);
+            }
+        }
+        let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Str)]);
+        let want_int = vec![(Value::Int(1), 6), (Value::Int(3), 4), (Value::Int(5), 4)];
+        let want_str = vec![
+            (Value::str("s1"), 6),
+            (Value::str("s3"), 4),
+            (Value::str("s5"), 4),
+        ];
+        let mut st = 11;
+        for _ in 0..8 {
+            // Fisher-Yates shuffle with the inline generator.
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, (next(&mut st) % (i as u64 + 1)) as usize);
+            }
+            let t = Table::from_rows(schema.clone(), rows.clone()).unwrap();
+            let s = TableStats::from_table(&t);
+            assert_eq!(s.hot[&a(0)], want_int);
+            assert_eq!(s.hot[&a(1)], want_str);
+            assert_eq!(row_stats(&t).hot[&a(0)], want_int, "reference agrees");
+        }
     }
 
     #[test]

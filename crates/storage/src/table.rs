@@ -64,6 +64,11 @@ impl Table {
     /// Zero-copy shared columnar view of the rows, built on first use and
     /// cached (table rows have uniform arity, so columnarization never
     /// fails). This is what a columnar table scan hands downstream.
+    ///
+    /// Clones share the cache once it is built: a clone made afterwards
+    /// carries the same `Arc`, while a clone made before builds its own on
+    /// first use. Build it once before handing out clones (as
+    /// `Database::register` does) and no scan rebuilds it.
     pub fn shared_batch(&self) -> Arc<RowBatch> {
         Arc::clone(self.batch.get_or_init(|| {
             Arc::new(RowBatch::from_rows(&self.rows).expect("uniform table arity"))
@@ -211,5 +216,20 @@ mod tests {
         assert_eq!(b2.to_rows(), t.rows());
         t.rows_mut()[0] = row![9, "w"];
         assert_eq!(t.shared_batch().row(0), row![9, "w"]);
+    }
+
+    #[test]
+    fn clones_made_after_the_build_share_the_batch() {
+        let t = Table::from_rows(schema2(), vec![row![1, "x"], row![2, "y"]]).unwrap();
+        let early = t.clone();
+        let b = t.shared_batch();
+        let late = t.clone();
+        assert!(Arc::ptr_eq(&b, &late.shared_batch()));
+        assert!(!Arc::ptr_eq(&b, &early.shared_batch()));
+        // A clone's mutation drops only its own cache.
+        let mut mutated = late.clone();
+        mutated.push(row![3, "z"]);
+        assert!(!Arc::ptr_eq(&b, &mutated.shared_batch()));
+        assert!(Arc::ptr_eq(&b, &late.shared_batch()));
     }
 }
